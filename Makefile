@@ -1,9 +1,13 @@
 GO ?= go
 
 # Alloc budgets for the hot-path benchmarks, enforced by cmd/benchgate.
-# NearestInto/ExtractInto/CandidatesInto with a reused buffer must stay
+# NearestInto/ExtractInto/CandidatesInto with a reused buffer, a
+# keyframe push into a full library and a store Touch must stay
 # allocation-free. Substring-matched against benchmark names.
-HOTPATH_BUDGETS = HotPathNearest=0,HotPathExactNearest=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathGridIntegral=0,HotPathHistogram=0
+HOTPATH_BUDGETS = HotPathNearest=0,HotPathExactNearest=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframePush=0,HotPathStoreTouch=0
+
+# Packages holding HotPath benchmarks.
+HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/ ./internal/cachestore/
 
 # The serving-scale regression gate: sharded store + micro-batched
 # inference must beat the single-mutex baseline by at least this
@@ -71,15 +75,13 @@ bench:
 # Full hot-path benchmark run; records results in BENCH_hotpath.json and
 # enforces the allocation budgets.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'HotPath|GridNaive' -benchmem \
-		./internal/lsh/ ./internal/feature/ | \
+	$(GO) test -run '^$$' -bench 'HotPath|GridNaive' -benchmem $(HOTPATH_PKGS) | \
 		$(GO) run ./cmd/benchgate -json BENCH_hotpath.json -budgets '$(HOTPATH_BUDGETS)'
 
 # Fast allocation gate for `make check`: short benchtime is enough to
 # measure allocs/op exactly (it is iteration-count independent).
 bench-gate:
-	$(GO) test -run '^$$' -bench HotPath -benchmem -benchtime 100x \
-		./internal/lsh/ ./internal/feature/ | \
+	$(GO) test -run '^$$' -bench HotPath -benchmem -benchtime 100x $(HOTPATH_PKGS) | \
 		$(GO) run ./cmd/benchgate -budgets '$(HOTPATH_BUDGETS)'
 
 # Multi-session saturation benchmark: drives 16 concurrent streams

@@ -12,7 +12,13 @@ import (
 // the facade program against. Three implementations exist:
 //
 //   - Store: one index under one RWMutex — the right shape for a
-//     single-stream device cache.
+//     single-stream device cache, and the one every other shape is
+//     built from. Lookups take no store lock. Insert-at-capacity,
+//     Touch and Remove cost O(log n) under the writer lock: live
+//     entries sit in a min-heap keyed by the policy order, so the
+//     victim is the heap root. TTL expiry pops a FIFO of insertion
+//     deadlines in O(1) amortized. Label reads in place, copying
+//     nothing.
 //   - ShardedStore: N lock-striped Store shards routed by LSH
 //     signature prefix — the serving-scale shape, where concurrent
 //     streams insert into disjoint shards instead of one mutex.

@@ -1,11 +1,13 @@
 // Package cachestore implements the in-memory store behind the
 // approximate cache: feature-keyed entries, capacity-bounded eviction
-// (LRU, LFU, or cost-aware), and TTL expiry. Entries are mirrored into a
-// nearest-neighbor index (internal/lsh) so lookups are approximate while
-// bookkeeping stays exact.
+// (LRU, LFU, or cost-aware) in O(log n) per operation, and TTL expiry
+// in O(1) amortized. Entries are mirrored into a nearest-neighbor index
+// (internal/lsh) so lookups are approximate while bookkeeping stays
+// exact.
 package cachestore
 
 import (
+	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -123,7 +125,12 @@ type Store struct {
 	index lsh.Index
 
 	mu      sync.RWMutex
-	entries map[lsh.ID]*Entry
+	entries map[lsh.ID]*item
+	// victims orders every live entry (quarantined ones included) by
+	// eviction priority; expiry queues insertion deadlines when TTL is
+	// on. Both are guarded by mu.
+	victims evictHeap
+	expiry  expiryFIFO
 	nextID  lsh.ID
 	// nlive/evictions/expiries are atomics so the observability reads
 	// (Len, Evictions, Expiries — polled by metrics scrapes and node
@@ -132,11 +139,11 @@ type Store struct {
 	nlive     atomic.Int64
 	evictions atomic.Int64
 	expiries  atomic.Int64
-	// minExpiry is the earliest InsertedAt+TTL over live entries as
+	// minExpiry is the deadline at the head of the expiry queue as
 	// unix nanos (0 = none). Lookups consult it lock-free: until the
-	// clock passes it, nothing can be expired and the TTL purge scan
-	// is skipped entirely. It may run stale-low after a removal, which
-	// costs at most one wasted scan that then recomputes it.
+	// clock passes it, nothing can be expired and no lock is taken.
+	// It may run stale-low after a removal, which costs at most one
+	// wasted purge that then advances it.
 	minExpiry atomic.Int64
 	// Quarantine lifecycle counters (cumulative).
 	qTotal   int // entries ever quarantined
@@ -165,7 +172,8 @@ func New(cfg Config, index lsh.Index, clock simclock.Clock) (*Store, error) {
 		cfg:     cfg,
 		clock:   clock,
 		index:   index,
-		entries: make(map[lsh.ID]*Entry, cfg.Capacity),
+		entries: make(map[lsh.ID]*item, cfg.Capacity),
+		victims: evictHeap{policy: cfg.Policy, items: make([]*item, 0, cfg.Capacity)},
 		nextID:  1,
 	}, nil
 }
@@ -195,22 +203,20 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 	if label == "" {
 		return 0, fmt.Errorf("cachestore: empty label")
 	}
-	now := s.clock.Now()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The clock is read under the lock so insertion times never
+	// decrease in queue order: the expiry FIFO relies on it.
+	now := s.clock.Now()
 	s.expireLocked(now)
-	for len(s.entries) >= s.cfg.Capacity {
-		victim, ok := s.victimLocked()
-		if !ok {
-			break
-		}
-		s.removeLocked(victim)
+	for len(s.entries) >= s.cfg.Capacity && s.victims.Len() > 0 {
+		s.removeLocked(s.victims.items[0])
 		s.evictions.Add(1)
 	}
 	id := s.nextID
 	s.nextID++
-	e := &Entry{
+	it := &item{Entry: Entry{
 		ID:         id,
 		Vec:        vec.Clone(),
 		Label:      label,
@@ -219,22 +225,29 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 		SavedCost:  savedCost,
 		InsertedAt: now,
 		LastAccess: now,
-	}
-	if err := s.index.Insert(id, e.Vec); err != nil {
+	}}
+	if err := s.index.Insert(id, it.Vec); err != nil {
 		return 0, fmt.Errorf("index insert: %w", err)
 	}
-	s.entries[id] = e
+	s.entries[id] = it
+	heap.Push(&s.victims, it)
 	s.nlive.Add(1)
 	if s.cfg.TTL > 0 {
 		exp := now.Add(s.cfg.TTL).UnixNano()
 		if exp == 0 {
 			exp = 1 // 0 means "no deadline"; off by 1ns conservative
 		}
-		if m := s.minExpiry.Load(); m == 0 || exp < m {
+		s.expiry.push(expiryRec{id: id, deadline: exp}, s.liveLocked)
+		if s.minExpiry.Load() == 0 {
 			s.minExpiry.Store(exp)
 		}
 	}
 	return id, nil
+}
+
+func (s *Store) liveLocked(id lsh.ID) bool {
+	_, ok := s.entries[id]
+	return ok
 }
 
 // Get returns a snapshot of the entry and whether it is live (present
@@ -243,11 +256,11 @@ func (s *Store) Get(id lsh.ID) (Entry, bool) {
 	now := s.clock.Now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.entries[id]
-	if !ok || s.expiredLocked(e, now) {
+	it, ok := s.entries[id]
+	if !ok || s.expiredLocked(&it.Entry, now) {
 		return Entry{}, false
 	}
-	return snapshotEntry(e), true
+	return snapshotEntry(&it.Entry), true
 }
 
 // snapshotEntry copies e, including its feature vector, so callers can
@@ -258,14 +271,16 @@ func snapshotEntry(e *Entry) Entry {
 	return out
 }
 
-// Touch records a cache hit on id, updating recency and frequency.
+// Touch records a cache hit on id, updating recency and frequency and
+// re-ranking the entry for eviction in O(log n).
 func (s *Store) Touch(id lsh.ID) {
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[id]; ok {
-		e.LastAccess = now
-		e.Hits++
+	if it, ok := s.entries[id]; ok {
+		it.LastAccess = now
+		it.Hits++
+		heap.Fix(&s.victims, it.pos)
 	}
 }
 
@@ -273,13 +288,17 @@ func (s *Store) Touch(id lsh.ID) {
 // callback shape of lsh.Vote. Quarantined entries do not resolve:
 // they are already absent from the candidate index, but stale IDs
 // held by callers (peer answers, in-flight votes) must not revive a
-// suspect label either.
+// suspect label either. Unlike Get, Label copies no vector: lsh.Vote
+// calls it once per neighbor.
 func (s *Store) Label(id lsh.ID) (string, bool) {
-	e, ok := s.Get(id)
-	if !ok || e.Quarantined {
+	now := s.clock.Now()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	it, ok := s.entries[id]
+	if !ok || it.Quarantined || s.expiredLocked(&it.Entry, now) {
 		return "", false
 	}
-	return e.Label, true
+	return it.Label, true
 }
 
 // Nearest returns up to k neighbors of q among live entries, ordered by
@@ -321,7 +340,9 @@ func (s *Store) purgeExpired(now time.Time) {
 func (s *Store) Remove(id lsh.ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.removeLocked(id)
+	if it, ok := s.entries[id]; ok {
+		s.removeLocked(it)
+	}
 }
 
 // Confirm records a shadow-audit agreement on id: the DNN re-ran on a
@@ -399,8 +420,7 @@ func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 			// The index refused the vector it previously held (cannot
 			// happen with the in-tree indexes); drop the entry rather
 			// than keep a permanently unfindable one.
-			delete(s.entries, id)
-			s.nlive.Add(-1)
+			s.dropLocked(e)
 			s.qEvicted++
 			return ParoleEvicted
 		}
@@ -408,7 +428,7 @@ func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 	}
 	e.ParoleFails++
 	if s.cfg.ParoleFailLimit > 0 && e.ParoleFails >= s.cfg.ParoleFailLimit {
-		s.removeLocked(id)
+		s.removeLocked(e)
 		s.qEvicted++
 		return ParoleEvicted
 	}
@@ -497,77 +517,54 @@ func (s *Store) Snapshot() []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, snapshotEntry(e))
+	for _, it := range s.entries {
+		out = append(out, snapshotEntry(&it.Entry))
 	}
 	return out
 }
 
-func (s *Store) removeLocked(id lsh.ID) {
-	if _, ok := s.entries[id]; !ok {
-		return
-	}
-	delete(s.entries, id)
+// removeLocked deletes a live entry from the store and the index.
+func (s *Store) removeLocked(it *item) {
+	s.dropLocked(it)
+	s.index.Remove(it.ID)
+}
+
+// dropLocked deletes a live entry from the store's own bookkeeping
+// only, for entries the index no longer holds.
+func (s *Store) dropLocked(it *item) {
+	delete(s.entries, it.ID)
+	heap.Remove(&s.victims, it.pos)
 	s.nlive.Add(-1)
-	s.index.Remove(id)
 }
 
 func (s *Store) expiredLocked(e *Entry, now time.Time) bool {
 	return s.cfg.TTL > 0 && now.Sub(e.InsertedAt) > s.cfg.TTL
 }
 
+// expireLocked removes every expired entry. Insertion times never
+// decrease along the expiry queue, so the expired entries are exactly
+// the live ones at its front: pop records (skipping those of entries
+// already removed) until the head is live and unexpired. The head's
+// deadline is then the earliest among live entries.
 func (s *Store) expireLocked(now time.Time) {
 	if s.cfg.TTL <= 0 {
 		return
 	}
-	var next int64 // earliest surviving deadline, unix nanos (0 = none)
-	for id, e := range s.entries {
-		if s.expiredLocked(e, now) {
-			s.removeLocked(id)
+	var next int64 // head deadline, unix nanos (0 = queue empty)
+	for {
+		rec, ok := s.expiry.peek()
+		if !ok {
+			break
+		}
+		if it, live := s.entries[rec.id]; live {
+			if !s.expiredLocked(&it.Entry, now) {
+				next = rec.deadline
+				break
+			}
+			s.removeLocked(it)
 			s.expiries.Add(1)
-			continue
 		}
-		exp := e.InsertedAt.Add(s.cfg.TTL).UnixNano()
-		if exp == 0 {
-			exp = 1
-		}
-		if next == 0 || exp < next {
-			next = exp
-		}
+		s.expiry.pop()
 	}
 	s.minExpiry.Store(next)
-}
-
-// victimLocked picks the entry to evict under the configured policy.
-func (s *Store) victimLocked() (lsh.ID, bool) {
-	var (
-		victim lsh.ID
-		found  bool
-		best   *Entry
-	)
-	worse := func(cand, incumbent *Entry) bool {
-		switch s.cfg.Policy {
-		case LFU:
-			if cand.Hits != incumbent.Hits {
-				return cand.Hits < incumbent.Hits
-			}
-		case CostAware:
-			cv := float64(cand.SavedCost) * float64(cand.Hits+1)
-			iv := float64(incumbent.SavedCost) * float64(incumbent.Hits+1)
-			if cv != iv {
-				return cv < iv
-			}
-		}
-		if !cand.LastAccess.Equal(incumbent.LastAccess) {
-			return cand.LastAccess.Before(incumbent.LastAccess)
-		}
-		// Final tie-break by ID for determinism.
-		return cand.ID < incumbent.ID
-	}
-	for _, e := range s.entries {
-		if !found || worse(e, best) {
-			victim, best, found = e.ID, e, true
-		}
-	}
-	return victim, found
 }

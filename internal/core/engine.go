@@ -1163,10 +1163,13 @@ func (e *Engine) repairContradicted(vec feature.Vector, freshLabel string, sc *f
 
 // refreshScene re-anchors the cheap gates after a verified recognition:
 // the frame joins the keyframe library and the rotation integrator
-// resets.
+// resets. With the video gate disabled nothing ever matches a
+// keyframe, so the frame is not stored.
 func (e *Engine) refreshScene(im *vision.Image, label string, confidence float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.keyframes.Push(im, label, confidence)
+	if !e.cfg.DisableVideoGate {
+		e.keyframes.Push(im, label, confidence)
+	}
 	e.detector.Mark()
 }

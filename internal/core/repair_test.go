@@ -110,3 +110,26 @@ func TestRepairDoesNotPurgeAgreeingEntries(t *testing.T) {
 		t.Fatalf("agreeing entry purged: repairs = %d", got)
 	}
 }
+
+// TestVideoGateOffStoresNoKeyframes checks that refreshScene skips the
+// keyframe copy when the video gate cannot use it.
+func TestVideoGateOffStoresNoKeyframes(t *testing.T) {
+	for _, off := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.DisableIMUGate = true
+		cfg.DisableVideoGate = off
+		f := newFixture(t, cfg, nil)
+		for c := 0; c < 3; c++ {
+			proto, err := f.classes.Prototype(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.engine.ProcessWithTruth(proto, nil, dnn.LabelOf(c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := f.engine.keyframes.Len(); (got == 0) != off {
+			t.Fatalf("DisableVideoGate=%v: %d keyframes stored", off, got)
+		}
+	}
+}

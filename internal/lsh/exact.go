@@ -102,10 +102,10 @@ func (x *ExactIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Nei
 	x.mu.RLock()
 	// Select on squared distances (same order), sqrt only the final k:
 	// saves one sqrt per scanned vector with bit-identical results.
+	// addScored abandons a vector once it is past the current k-th best.
 	for s := 0; s < len(x.slotID); s++ {
 		off := s * x.dim
-		v := feature.Vector(x.arena[off : off+x.dim : off+x.dim])
-		sel.add(Neighbor{ID: x.slotID[s], Distance: feature.MustSqEuclidean(q, v)})
+		sel.addScored(q, x.arena[off:off+x.dim:off+x.dim], x.slotID[s])
 	}
 	x.mu.RUnlock()
 	out := sel.finish()

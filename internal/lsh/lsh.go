@@ -234,13 +234,15 @@ type queryScratch struct {
 	// Tuned-pipeline scratch, sized lazily on first tuned lookup:
 	// margins holds per-bit |projection| for the probed table, sorted
 	// and order back the probe generator's margin argsort, heap its
-	// perturbation-set frontier, qcodes the query's int8 codes, and
-	// approx the quantized-stage selection buffer.
+	// perturbation-set frontier, qcodes the query's int8 codes, surv
+	// the slots that passed the sketch prefilter, and approx the
+	// quantized-stage selection buffer.
 	margins []float64
 	sorted  []float64
 	order   []int
 	heap    []probeSet
 	qcodes  []int8
+	surv    []int32
 	approx  []Neighbor
 }
 
@@ -793,7 +795,9 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 	// the same total order — and takes the square root only on the
 	// final k survivors, which is bit-identical to sqrt-per-candidate
 	// because MustSqEuclidean accumulates the same sum MustEuclidean
-	// does.
+	// does. Scoring abandons a candidate as soon as its partial sum
+	// passes the current k-th best (see addScored), so most of a large
+	// bucket costs a fraction of a full distance.
 	var sel kSelector
 	sel.reset(k, dst[:0])
 	v, vi := x.pin(sc.stripe)
@@ -805,10 +809,7 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 				continue
 			}
 			sc.visited[slot] = sc.epoch
-			sel.add(Neighbor{
-				ID:       v.slotID[slot],
-				Distance: feature.MustSqEuclidean(q, v.slotVec(x.dim, slot)),
-			})
+			sel.addScored(q, v.slotVec(x.dim, slot), v.slotID[slot])
 		}
 	}
 	x.unpin(vi, sc.stripe)
@@ -820,21 +821,17 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 }
 
 // nearestTuned is the tuned candidate pipeline: per table, walk the
-// multi-probe bucket sequence; per candidate, dedup by slot epoch, then
-// (optionally) reject on packed-sketch Hamming distance before any
-// float math; score survivors either exactly (squared L2) or with the
-// int8 integer-dot kernel, in which case only the top RerankK·k
-// approximate candidates pay an exact distance. All stages run on
+// multi-probe bucket sequence; per candidate, (optionally) reject on
+// packed-sketch Hamming distance before any float math, then dedup by
+// slot epoch. The survivors are scored either exactly (squared L2) or,
+// when there are more of them than the re-rank width RerankK·k, with
+// the int8 integer-dot kernel first, in which case only the top
+// RerankK·k approximate candidates pay an exact distance. With no more
+// survivors than that width the quantized stage would keep every one,
+// so it is skipped and the result is the same. All stages run on
 // pooled scratch, so a warm lookup with caller-provided dst allocates
 // nothing.
 func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, sc *queryScratch) ([]Neighbor, error) {
-	var sel kSelector
-	sel.reset(k, dst[:0])
-	quantize := x.tun.Quantize
-	var rsel kSelector
-	if quantize {
-		rsel.reset(x.tun.RerankK*k, sc.approx[:0])
-	}
 	sc.ensureTuned(x.bits, x.dim)
 	v, vi := x.pin(sc.stripe)
 	sc.begin(len(v.slotID))
@@ -843,11 +840,8 @@ func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, 
 	if words > 0 {
 		x.sketchInto(q, qsk[:words])
 	}
-	var qq feature.Quant
-	if quantize {
-		qq = feature.QuantizeInto(q, sc.qcodes)
-	}
 	maxHam := x.tun.MaxHamming
+	surv := sc.surv[:0]
 	var pg probeGen
 	for t := 0; t < x.tables; t++ {
 		sig := x.signatureMargins(t, q, sc.margins)
@@ -858,10 +852,9 @@ func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, 
 				break
 			}
 			for _, slot := range v.buckets[t][psig] {
-				if sc.visited[slot] == sc.epoch {
-					continue
-				}
-				sc.visited[slot] = sc.epoch
+				// The sketch test comes before the dedup stamp: a slot
+				// it rejects is rejected on every visit, so most of the
+				// crowd never touches the visited array.
 				if words > 0 {
 					// Inlined popcount Hamming; words is 1 or 2.
 					off := int(slot) * words
@@ -873,37 +866,41 @@ func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, 
 						continue
 					}
 				}
-				if quantize {
-					// The approximate stage selects on (approx distance,
-					// slot): slots are assigned deterministically, so the
-					// keep-set is stable across runs and reloads.
-					dot := feature.DotInt8(sc.qcodes, v.slotCodes(x.dim, slot))
-					rsel.add(Neighbor{
-						ID:       ID(slot),
-						Distance: feature.ApproxSqDistance(x.dim, qq, v.quant[slot], dot),
-					})
-				} else {
-					sel.add(Neighbor{
-						ID:       v.slotID[slot],
-						Distance: feature.MustSqEuclidean(q, v.slotVec(x.dim, slot)),
-					})
+				if sc.visited[slot] == sc.epoch {
+					continue
 				}
+				sc.visited[slot] = sc.epoch
+				surv = append(surv, slot)
 			}
 		}
 		sc.heap = pg.heap[:0] // retain heap growth across tables/queries
 	}
-	if quantize {
-		kept := rsel.finish()
-		for _, n := range kept {
-			slot := int32(n.ID)
-			sel.add(Neighbor{
-				ID:       v.slotID[slot],
-				Distance: feature.MustSqEuclidean(q, v.slotVec(x.dim, slot)),
+	if x.tun.Quantize && len(surv) > x.tun.RerankK*k {
+		// The approximate stage selects on (approx distance, slot):
+		// slots are assigned deterministically, so the keep-set is
+		// stable across runs and reloads.
+		qq := feature.QuantizeInto(q, sc.qcodes)
+		var rsel kSelector
+		rsel.reset(x.tun.RerankK*k, sc.approx[:0])
+		for _, slot := range surv {
+			dot := feature.DotInt8(sc.qcodes, v.slotCodes(x.dim, slot))
+			rsel.add(Neighbor{
+				ID:       ID(slot),
+				Distance: feature.ApproxSqDistance(x.dim, qq, v.quant[slot], dot),
 			})
+		}
+		kept := rsel.finish()
+		surv = surv[:0]
+		for _, n := range kept {
+			surv = append(surv, int32(n.ID))
 		}
 		sc.approx = kept[:0] // retain selector growth for the next query
 	}
+	var sel kSelector
+	sel.reset(k, dst[:0])
+	sel.scoreSlots(q, v, x.dim, surv)
 	x.unpin(vi, sc.stripe)
+	sc.surv = surv[:0] // retain survivor growth for the next query
 	out := sel.finish()
 	for i := range out {
 		out[i].Distance = math.Sqrt(out[i].Distance)

@@ -1,5 +1,11 @@
 package lsh
 
+import (
+	"math"
+
+	"approxcache/internal/feature"
+)
+
 // Bounded top-k selection for the query hot path. The previous
 // implementation collected every candidate and fully sorted the set per
 // query; for k ≪ candidates that is wasted work and a fresh allocation
@@ -74,6 +80,67 @@ func (s *kSelector) add(n Neighbor) {
 	s.buf[len(s.buf)-1] = n
 	for i := len(s.buf) - 1; i > 0 && neighborWorse(s.buf[i-1], s.buf[i]); i-- {
 		s.buf[i-1], s.buf[i] = s.buf[i], s.buf[i-1]
+	}
+}
+
+// bound returns the distance a new neighbor must not exceed to enter
+// the selection: +Inf until k neighbors are held, then the current
+// k-th best distance. A neighbor at exactly the bound may still enter
+// on a smaller ID, so only strictly larger distances are rejectable.
+func (s *kSelector) bound() float64 {
+	if len(s.buf) < s.k {
+		return math.Inf(1)
+	}
+	if s.heaped {
+		return s.buf[0].Distance
+	}
+	return s.buf[len(s.buf)-1].Distance
+}
+
+// addScored scores vec against q and offers it as id. The squared
+// distance is computed with the early-abandon kernel bounded by the
+// current k-th best: a candidate whose partial sum already exceeds
+// the bound is dropped without finishing it, and one that completes
+// carries exactly MustSqEuclidean's value, so the selection is the
+// one add would make with full distances.
+func (s *kSelector) addScored(q, vec feature.Vector, id ID) {
+	b := s.bound()
+	d := feature.SqEuclideanBounded(q, vec, b)
+	if d > b {
+		return
+	}
+	s.add(Neighbor{ID: id, Distance: d})
+}
+
+// scoreSlots offers every listed slot of view v, scored against q.
+// Slots are scored four at a time with the four-lane kernel, bounded
+// by the k-th best at the start of each group; a group abandoned there
+// holds no neighbor that could enter. A completed lane carries exactly
+// MustSqEuclidean's value, so the selection is the one add would make
+// with full distances. The tail goes through addScored.
+func (s *kSelector) scoreSlots(q feature.Vector, v *indexView, dim int, slots []int32) {
+	i := 0
+	for ; i+4 <= len(slots); i += 4 {
+		g := slots[i : i+4 : i+4]
+		b := s.bound()
+		d0, d1, d2, d3 := feature.SqEuclideanBounded4(q,
+			v.slotVec(dim, g[0]), v.slotVec(dim, g[1]),
+			v.slotVec(dim, g[2]), v.slotVec(dim, g[3]), b)
+		if d0 <= b {
+			s.add(Neighbor{ID: v.slotID[g[0]], Distance: d0})
+		}
+		if d1 <= b {
+			s.add(Neighbor{ID: v.slotID[g[1]], Distance: d1})
+		}
+		if d2 <= b {
+			s.add(Neighbor{ID: v.slotID[g[2]], Distance: d2})
+		}
+		if d3 <= b {
+			s.add(Neighbor{ID: v.slotID[g[3]], Distance: d3})
+		}
+	}
+	for _, slot := range slots[i:] {
+		s.addScored(q, v.slotVec(dim, slot), v.slotID[slot])
 	}
 }
 

@@ -2,6 +2,8 @@ package video
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"approxcache/internal/vision"
@@ -202,5 +204,103 @@ func TestKeyframeLibraryBeatsSingleKeyOnPanCycle(t *testing.T) {
 	}
 	if singleHits != 1 {
 		t.Fatalf("single-key hits = %d, want 1 (only the last scene)", singleHits)
+	}
+}
+
+// refLibrary is the clone-per-push keyframe library Push replaced: it
+// copies every pushed frame into a fresh image.
+type refLibrary struct {
+	threshold float64
+	cap       int
+	frames    []Keyframe
+}
+
+func (l *refLibrary) push(im *vision.Image, label string, confidence float64) {
+	kept := l.frames[:0:0]
+	for _, kf := range l.frames {
+		if vision.MeanAbsDiff(kf.Image, im) > l.threshold {
+			kept = append(kept, kf)
+		}
+	}
+	l.frames = append(kept, Keyframe{Image: im.Clone(), Label: label, Confidence: confidence})
+	if len(l.frames) > l.cap {
+		l.frames = l.frames[len(l.frames)-l.cap:]
+	}
+}
+
+// TestKeyframePushMatchesCloningReference drives the buffer-reusing
+// Push and the cloning reference with the same random pushes — scenes
+// that recur, displace each other and change size — and requires the
+// same keyframes, pixel for pixel, after every push.
+func TestKeyframePushMatchesCloningReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	cfg := DefaultDiffGateConfig()
+	l, err := NewKeyframeLibrary(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refLibrary{threshold: cfg.Threshold, cap: 4}
+	for i := 0; i < 2000; i++ {
+		side := 6 + 2*rng.Intn(2)
+		im := flatImage(side, side, float64(rng.Intn(12))/12)
+		im.Pix[rng.Intn(len(im.Pix))] += rng.Float64() * 0.2
+		label := fmt.Sprintf("s%d", rng.Intn(5))
+		l.Push(im, label, float64(i))
+		ref.push(im, label, float64(i))
+		im.Pix[0] = -1 // neither library may alias the caller's frame
+		if len(l.frames) != len(ref.frames) {
+			t.Fatalf("push %d: %d keyframes, reference %d", i, len(l.frames), len(ref.frames))
+		}
+		for j, kf := range l.frames {
+			want := ref.frames[j]
+			if kf.Label != want.Label || kf.Confidence != want.Confidence ||
+				kf.Image.W != want.Image.W || kf.Image.H != want.Image.H ||
+				!slices.Equal(kf.Image.Pix, want.Image.Pix) {
+				t.Fatalf("push %d keyframe %d: got %s/%v %dx%d, reference %s/%v %dx%d",
+					i, j, kf.Label, kf.Confidence, kf.Image.W, kf.Image.H,
+					want.Label, want.Confidence, want.Image.W, want.Image.H)
+			}
+		}
+	}
+}
+
+// TestKeyframePushSteadyStateAllocs pins the point of the buffer
+// reuse: once the library is full, pushing allocates nothing.
+func TestKeyframePushSteadyStateAllocs(t *testing.T) {
+	l, err := NewKeyframeLibrary(DefaultDiffGateConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenes := make([]*vision.Image, 6)
+	for i := range scenes {
+		scenes[i] = flatImage(48, 48, float64(i)/6)
+		l.Push(scenes[i], "x", 1)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		l.Push(scenes[i%len(scenes)], "x", 1)
+		i++
+	}); n != 0 {
+		t.Fatalf("steady-state push allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkHotPathKeyframePush measures refreshing the keyframe
+// library after a recognition on 48×48 frames with the engine's
+// default capacity: each push either evicts the oldest scene or
+// displaces its own. Budget: 0 allocs/op.
+func BenchmarkHotPathKeyframePush(b *testing.B) {
+	l, err := NewKeyframeLibrary(DefaultDiffGateConfig(), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scenes := make([]*vision.Image, 6)
+	for i := range scenes {
+		scenes[i] = flatImage(48, 48, float64(i)/6)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Push(scenes[i%len(scenes)], "x", 1)
 	}
 }

@@ -381,20 +381,48 @@ func (l *KeyframeLibrary) Match(im *vision.Image) (Keyframe, bool) {
 // im is displaced — it depicts the same visual scene, and the incoming
 // result is fresher evidence. (Keeping a same-scene keyframe with a
 // different label would let a stale recognition keep winning matches.)
+//
+// The stored copy of im reuses the pixel buffer of a displaced or
+// evicted keyframe, so a full library pushes without allocating.
+// Keyframes returned by earlier Match calls may therefore change under
+// a later Push; callers copy the fields they need before pushing.
 func (l *KeyframeLibrary) Push(im *vision.Image, label string, confidence float64) {
 	if im == nil || label == "" {
 		return
 	}
+	var spare *vision.Image
 	kept := l.frames[:0]
 	for _, kf := range l.frames {
 		if vision.MeanAbsDiff(kf.Image, im) > l.cfg.Threshold {
 			kept = append(kept, kf)
+		} else if spare == nil {
+			spare = kf.Image
 		}
 	}
-	l.frames = append(kept, Keyframe{Image: im.Clone(), Label: label, Confidence: confidence})
-	if len(l.frames) > l.cap {
-		l.frames = l.frames[len(l.frames)-l.cap:]
+	if len(kept) == l.cap {
+		// Nothing was displaced: the oldest keyframe makes room.
+		spare = kept[0].Image
+		kept = kept[:copy(kept, kept[1:])]
 	}
+	// Clear the vacated tail so dropped keyframes are not kept alive.
+	clear(l.frames[len(kept):])
+	l.frames = append(kept, Keyframe{Image: copyImage(spare, im), Label: label, Confidence: confidence})
+}
+
+// copyImage copies src into dst's pixel buffer, growing it only when
+// too small, and returns dst; a nil dst yields a fresh clone. The copy
+// equals src.Clone().
+func copyImage(dst, src *vision.Image) *vision.Image {
+	if dst == nil {
+		return src.Clone()
+	}
+	n := src.W * src.H
+	if cap(dst.Pix) < n {
+		dst.Pix = make([]float64, n)
+	}
+	dst.W, dst.H, dst.Pix = src.W, src.H, dst.Pix[:n]
+	clear(dst.Pix[copy(dst.Pix, src.Pix):])
+	return dst
 }
 
 // Reset clears the library.
