@@ -9,9 +9,9 @@ HOTPATH_BUDGETS = HotPathNearest=0,HotPathExactNearest=0,HotPathSignature=0,HotP
 # Packages holding HotPath benchmarks.
 HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/ ./internal/cachestore/
 
-# The serving-scale regression gate: sharded store + micro-batched
-# inference must beat the single-mutex baseline by at least this
-# frames/sec factor at 16 concurrent streams.
+# The serving-scale regression gate: micro-batched inference must beat
+# the unbatched session pool (both over one shared store) by at least
+# this frames/sec factor at 16 concurrent streams.
 MIN_THROUGHPUT_SPEEDUP = 3.0
 
 # The overload-resilience gate: with deadlines + admission control on,
@@ -85,14 +85,13 @@ bench-gate:
 		$(GO) run ./cmd/benchgate -budgets '$(HOTPATH_BUDGETS)'
 
 # Multi-session saturation benchmark: drives 16 concurrent streams
-# through the architecture ladder (single-mutex → pool → sharded →
-# sharded+batched), records BENCH_throughput.json, and enforces the
-# speedup gate.
+# through a session pool over one store, unbatched and micro-batched,
+# records BENCH_throughput.json, and enforces the speedup gate.
 bench-throughput:
 	$(GO) run ./cmd/approxbench -throughput -throughput-json BENCH_throughput.json
 	$(GO) run ./cmd/benchgate -throughput-json BENCH_throughput.json -min-speedup $(MIN_THROUGHPUT_SPEEDUP)
 
-# Fast serving gate for `make check`: re-measures the ladder (the run
+# Fast serving gate for `make check`: re-measures both rows (the run
 # itself is only a few seconds) and fails on regression below the
 # required speedup.
 throughput-gate:

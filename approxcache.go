@@ -278,12 +278,6 @@ type Options struct {
 	// DisableSensorGuards switches the input guards off entirely;
 	// corrupt sensor data then flows into the gates unchecked.
 	DisableSensorGuards bool
-	// Shards splits the cache store into this many lock-striped shards
-	// routed by an LSH signature prefix, so concurrent sessions stop
-	// serializing on one store mutex. 0 or 1 keeps the single-shard
-	// store. Lookups remain exact: every shard hashes with the same
-	// seed, and cross-shard results merge in distance order.
-	Shards int
 	// BatchSize enables micro-batched DNN inference in NewPool: up to
 	// BatchSize concurrent cache-miss classifications coalesce into one
 	// batched invocation, amortizing the model's fixed per-invocation
@@ -442,10 +436,8 @@ func engineConfig(opts Options) core.Config {
 	return cfg
 }
 
-// newStore builds the cache store Options describes: nil outside
-// ModeApprox, a single-mutex store by default, a sharded store when
-// opts.Shards > 1. Every shard hashes with the same seed, so sharded
-// lookups return exactly what an unsharded store would.
+// newStore builds the cache store Options describes, or nil outside
+// ModeApprox.
 func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface, error) {
 	if cfg.Mode != ModeApprox {
 		return nil, nil
@@ -471,17 +463,20 @@ func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface,
 		seed = 1
 	}
 	dim := cfg.Extractor.Dim()
-	tuning := cfg.IndexTuning
-	newIndex := func(int) (lsh.Index, error) {
-		if opts.AdaptiveLSH {
-			acfg := lsh.DefaultAdaptiveConfig(dim)
-			acfg.Bits = bits
-			acfg.Tables = tables
-			acfg.Seed = seed
-			acfg.Tuning = tuning
-			return lsh.NewAdaptive(acfg)
-		}
-		return lsh.NewHyperplaneTuned(dim, bits, tables, seed, tuning)
+	var idx lsh.Index
+	var err error
+	if opts.AdaptiveLSH {
+		acfg := lsh.DefaultAdaptiveConfig(dim)
+		acfg.Bits = bits
+		acfg.Tables = tables
+		acfg.Seed = seed
+		acfg.Tuning = cfg.IndexTuning
+		idx, err = lsh.NewAdaptive(acfg)
+	} else {
+		idx, err = lsh.NewHyperplaneTuned(dim, bits, tables, seed, cfg.IndexTuning)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("approxcache: lsh index: %w", err)
 	}
 	scfg := cachestore.Config{
 		Capacity:            capacity,
@@ -492,22 +487,6 @@ func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface,
 	}
 	if opts.Quality.Enabled && scfg.QuarantineThreshold == 0 {
 		scfg.QuarantineThreshold = 2
-	}
-	if opts.Shards > 1 {
-		store, err := cachestore.NewSharded(cachestore.ShardedConfig{
-			Config:     scfg,
-			Dim:        dim,
-			Shards:     opts.Shards,
-			RouterSeed: seed,
-		}, newIndex, clock)
-		if err != nil {
-			return nil, fmt.Errorf("approxcache: store: %w", err)
-		}
-		return store, nil
-	}
-	idx, err := newIndex(0)
-	if err != nil {
-		return nil, fmt.Errorf("approxcache: lsh index: %w", err)
 	}
 	store, err := cachestore.New(scfg, idx, clock)
 	if err != nil {

@@ -20,12 +20,11 @@
 // contention profiles so a scaling regression caught by the readscale
 // gate can be diagnosed from the same harness that measured it.
 //
-// -throughput drives concurrent synthetic client streams through the
-// architecture ladder (single-mutex store → session pool → sharded
-// store → sharded + micro-batched inference) against a serial
-// accelerator occupancy model, and writes frames/sec, latency
-// percentiles, and per-shard contention counters as JSON (default
-// BENCH_throughput.json) for cmd/benchgate's speedup gate.
+// -throughput drives concurrent synthetic client streams through a
+// session pool over one store, unbatched and then with micro-batched
+// inference, against a serial accelerator occupancy model, and writes
+// frames/sec, latency percentiles, and batcher counters as JSON
+// (default BENCH_throughput.json) for cmd/benchgate's speedup gate.
 //
 // -overload fires open-loop arrivals (0.5×–4× of measured capacity) at
 // a deadline-and-admission-protected serving node and at an
@@ -266,31 +265,25 @@ func runReadScaleBench(cfg eval.ReadScaleConfig, jsonPath string) error {
 }
 
 // runThroughput executes the saturation benchmark, prints the
-// architecture ladder, and records the report for the regression gate.
+// unbatched and batched rows, and records the report for the
+// regression gate.
 func runThroughput(cfg eval.ThroughputConfig, jsonPath string) error {
 	start := time.Now()
 	rep, err := eval.RunThroughput(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("throughput: %d streams × %d frames, %d shards, batch %d\n",
-		rep.Streams, rep.Frames, rep.Shards, rep.MaxBatch)
+	fmt.Printf("throughput: %d streams × %d frames, batch %d\n",
+		rep.Streams, rep.Frames, rep.MaxBatch)
 	for _, r := range rep.Results {
-		var contended int64
-		for _, sh := range r.Shards {
-			contended += sh.Contended
-		}
 		line := fmt.Sprintf("  %-22s %8.1f fps  p50=%6.2fms p95=%6.2fms p99=%6.2fms  dnn=%d hit=%.0f%%",
 			r.Mode, r.FPS, r.P50MS, r.P95MS, r.P99MS, r.DNNFrames, r.HitRate*100)
-		if r.Shards != nil {
-			line += fmt.Sprintf(" contended=%d", contended)
-		}
 		if r.Batcher != nil {
 			line += fmt.Sprintf(" avg-batch=%.1f", r.Batcher.AvgSize())
 		}
 		fmt.Println(line)
 	}
-	fmt.Printf("speedup (sharded+batched vs single-mutex): %.2fx in %v\n",
+	fmt.Printf("speedup (batched vs unbatched): %.2fx in %v\n",
 		rep.Speedup, time.Since(start).Round(time.Millisecond))
 	if jsonPath != "" {
 		blob, err := json.MarshalIndent(rep, "", "  ")

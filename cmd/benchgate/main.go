@@ -20,8 +20,9 @@
 //	benchgate -throughput-json BENCH_throughput.json -min-speedup 3.0
 //
 // It reads the JSON written by `approxbench -throughput` and fails
-// unless the sharded+batched architecture beat the single-mutex
-// baseline by at least -min-speedup. Stdin is not read in this mode.
+// unless micro-batched inference beat the unbatched session pool (both
+// over one shared store) by at least -min-speedup. Stdin is not read in
+// this mode.
 //
 // A third mode gates the overload-resilience report:
 //
@@ -113,7 +114,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		jsonPath   = fs.String("json", "", "write parsed results to this file as JSON")
 		budgets    = fs.String("budgets", "", "comma-separated Name=maxAllocsPerOp gates")
 		tputJSON   = fs.String("throughput-json", "", "gate a throughput report file instead of reading benchmarks from stdin")
-		minSpeedup = fs.Float64("min-speedup", 3.0, "with -throughput-json, minimum required sharded+batched speedup over single-mutex")
+		minSpeedup = fs.Float64("min-speedup", 3.0, "with -throughput-json, minimum required batched speedup over the unbatched pool")
 		olJSON     = fs.String("overload-json", "", "gate an overload report file instead of reading benchmarks from stdin")
 		minRetain  = fs.Float64("min-retention", 0.85, "with -overload-json, minimum required goodput retention at the highest offered load")
 		luJSON     = fs.String("lookup-json", "", "gate a lookup-pipeline report file instead of reading benchmarks from stdin")

@@ -112,8 +112,8 @@ const throughputSample = `{
   "streams": 16,
   "frames_per_stream": 30,
   "results": [
-    {"mode": "single-mutex", "fps": 100.0},
-    {"mode": "pool-sharded-batched", "fps": 350.0}
+    {"mode": "pool", "fps": 100.0},
+    {"mode": "pool-batched", "fps": 350.0}
   ],
   "speedup": 3.5
 }`
@@ -135,7 +135,7 @@ func TestThroughputGatePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"single-mutex", "pool-sharded-batched", "3.50x"} {
+	for _, want := range []string{"pool ", "pool-batched", "3.50x"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("summary missing %q:\n%s", want, out.String())
 		}

@@ -9,25 +9,14 @@ import (
 )
 
 // Interface is the store contract the engine, the peer service, and
-// the facade program against. Three implementations exist:
-//
-//   - Store: one index under one RWMutex — the right shape for a
-//     single-stream device cache, and the one every other shape is
-//     built from. Lookups take no store lock. Insert-at-capacity,
-//     Touch and Remove cost O(log n) under the writer lock: live
-//     entries sit in a min-heap keyed by the policy order, so the
-//     victim is the heap root. TTL expiry pops a FIFO of insertion
-//     deadlines in O(1) amortized. Label reads in place, copying
-//     nothing.
-//   - ShardedStore: N lock-striped Store shards routed by LSH
-//     signature prefix — the serving-scale shape, where concurrent
-//     streams insert into disjoint shards instead of one mutex.
-//   - SerializedStore: a Store behind a single exclusive mutex — the
-//     pre-sharding worst case, kept as the throughput-benchmark
-//     baseline.
-//
-// All implementations are safe for concurrent use and share the
-// snapshot wire format, so Export/Import round-trips across them.
+// the facade program against. Store is its one implementation: one
+// index under one RWMutex. Lookups take no store lock.
+// Insert-at-capacity, Touch and Remove cost O(log n) under the writer
+// lock: live entries sit in a min-heap keyed by the policy order, so
+// the victim is the heap root. TTL expiry pops a FIFO of insertion
+// deadlines in O(1) amortized. Label reads in place, copying nothing.
+// The interface stays so callers can wrap a store, e.g. to time each
+// call.
 type Interface interface {
 	// Insert stores a recognition result and returns its ID.
 	Insert(vec feature.Vector, label string, confidence float64, source string, savedCost time.Duration) (lsh.ID, error)
@@ -69,8 +58,4 @@ type Interface interface {
 	Import(r io.Reader) (int, error)
 }
 
-var (
-	_ Interface = (*Store)(nil)
-	_ Interface = (*ShardedStore)(nil)
-	_ Interface = (*SerializedStore)(nil)
-)
+var _ Interface = (*Store)(nil)

@@ -12,32 +12,28 @@ import (
 	"approxcache/internal/simclock"
 )
 
-// newTunedSharded builds a sharded store whose shards run the full
-// tuned pipeline (multi-probe, sketch prefilter, quantized scoring)
-// with a shared index seed, the shape core.Engine constructs when
-// IndexTuning is set.
-func newTunedSharded(tb testing.TB, shards, capacity int, clock simclock.Clock) *ShardedStore {
+// newTunedStore builds a store over the full tuned pipeline
+// (multi-probe, sketch prefilter, quantized scoring) with index seed
+// 99, the shape core.Engine constructs when IndexTuning is set.
+func newTunedStore(tb testing.TB, capacity int, clock simclock.Clock) *Store {
 	tb.Helper()
 	tun := lsh.DefaultTuning()
 	tun.Probes = 4
-	s, err := NewSharded(ShardedConfig{
-		Config: Config{Capacity: capacity},
-		Dim:    shardTestDim,
-		Shards: shards,
-	}, func(int) (lsh.Index, error) {
-		return lsh.NewHyperplaneTuned(shardTestDim, 8, 2, 99, tun)
-	}, clock)
+	idx, err := lsh.NewHyperplaneTuned(testDim, 8, 2, 99, tun)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := New(Config{Capacity: capacity}, idx, clock)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return s
 }
 
-// TestTunedSnapshotRoundTrip pins the recompute-on-import contract
-// across shard counts: sketches and quantized codes are never
-// persisted — they are deterministic functions of (seed, vector), so a
-// store rebuilt from a snapshot must answer every lookup bit-for-bit
-// like the original, at 1, 2, 4, and 7 shards.
+// TestTunedSnapshotRoundTrip pins the recompute-on-import contract:
+// sketches and quantized codes are never persisted — they are
+// deterministic functions of (seed, vector), so a store rebuilt from a
+// snapshot must answer every lookup bit-for-bit like the original.
 func TestTunedSnapshotRoundTrip(t *testing.T) {
 	// Clustered, near-duplicate population: the regime where the sketch
 	// prefilter and quantized re-rank actually participate in results,
@@ -45,7 +41,7 @@ func TestTunedSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	centers := make([]feature.Vector, 12)
 	for c := range centers {
-		centers[c] = make(feature.Vector, shardTestDim)
+		centers[c] = make(feature.Vector, testDim)
 		for d := range centers[c] {
 			centers[c][d] = rng.Float64()
 		}
@@ -53,7 +49,7 @@ func TestTunedSnapshotRoundTrip(t *testing.T) {
 	const n = 240
 	vecs := make([]feature.Vector, n)
 	for i := range vecs {
-		v := make(feature.Vector, shardTestDim)
+		v := make(feature.Vector, testDim)
 		for d := range v {
 			v[d] = centers[i%len(centers)][d] + rng.NormFloat64()*0.03
 		}
@@ -62,59 +58,52 @@ func TestTunedSnapshotRoundTrip(t *testing.T) {
 	queries := make([]feature.Vector, 60)
 	for i := range queries {
 		src := vecs[rng.Intn(n)]
-		q := make(feature.Vector, shardTestDim)
+		q := make(feature.Vector, testDim)
 		for d := range q {
 			q[d] = src[d] + rng.NormFloat64()*0.01
 		}
 		queries[i] = q
 	}
 
-	for _, shards := range []int{1, 2, 4, 7} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			clock := simclock.NewVirtual(time.Unix(0, 0))
-			// Capacity n per shard: the similarity router sends whole
-			// clusters to one shard, so an even capacity split would
-			// overflow and evict before the snapshot is taken.
-			orig := newTunedSharded(t, shards, n*shards, clock)
-			for i, v := range vecs {
-				if _, err := orig.Insert(v, fmt.Sprintf("label-%d", i), 0.9, "dnn", time.Millisecond); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var snap bytes.Buffer
-			if err := orig.Export(&snap); err != nil {
-				t.Fatal(err)
-			}
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	orig := newTunedStore(t, n, clock)
+	for i, v := range vecs {
+		if _, err := orig.Insert(v, fmt.Sprintf("label-%d", i), 0.9, "dnn", time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := orig.Export(&snap); err != nil {
+		t.Fatal(err)
+	}
 
-			restored := newTunedSharded(t, shards, n*shards, clock)
-			if got, err := restored.Import(bytes.NewReader(snap.Bytes())); err != nil || got != n {
-				t.Fatalf("import: %d entries, err %v; want %d, nil", got, err, n)
-			}
+	restored := newTunedStore(t, n, clock)
+	if got, err := restored.Import(bytes.NewReader(snap.Bytes())); err != nil || got != n {
+		t.Fatalf("import: %d entries, err %v; want %d, nil", got, err, n)
+	}
 
-			dstA := make([]lsh.Neighbor, 0, 4)
-			dstB := make([]lsh.Neighbor, 0, 4)
-			for qi, q := range queries {
-				a, err := orig.NearestInto(q, 4, dstA)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := restored.NearestInto(q, 4, dstB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(a) != len(b) {
-					t.Fatalf("query %d: %d vs %d neighbors", qi, len(a), len(b))
-				}
-				for i := range a {
-					la, oka := orig.Label(a[i].ID)
-					lb, okb := restored.Label(b[i].ID)
-					if !oka || !okb || la != lb || a[i].Distance != b[i].Distance {
-						t.Fatalf("query %d neighbor %d: (%q, %v, live=%v) vs (%q, %v, live=%v)",
-							qi, i, la, a[i].Distance, oka, lb, b[i].Distance, okb)
-					}
-				}
-				dstA, dstB = a[:0], b[:0]
+	dstA := make([]lsh.Neighbor, 0, 4)
+	dstB := make([]lsh.Neighbor, 0, 4)
+	for qi, q := range queries {
+		a, err := orig.NearestInto(q, 4, dstA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := restored.NearestInto(q, 4, dstB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("query %d: %d vs %d neighbors", qi, len(a), len(b))
+		}
+		for i := range a {
+			la, oka := orig.Label(a[i].ID)
+			lb, okb := restored.Label(b[i].ID)
+			if !oka || !okb || la != lb || a[i].Distance != b[i].Distance {
+				t.Fatalf("query %d neighbor %d: (%q, %v, live=%v) vs (%q, %v, live=%v)",
+					qi, i, la, a[i].Distance, oka, lb, b[i].Distance, okb)
 			}
-		})
+		}
+		dstA, dstB = a[:0], b[:0]
 	}
 }

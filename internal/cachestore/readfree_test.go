@@ -24,11 +24,11 @@ func randVec4(rng *rand.Rand) feature.Vector {
 
 // TestLockFreeStoreDifferential replays one interleaved workload —
 // inserts, removes, lookups, touches, TTL expiry, quarantine and
-// parole — against a store over the lock-free index and against the
-// same store wrapped in SerializedStore (the fully serialized
-// correctness oracle), and requires element-identical observable state
-// at every step. The lock-free read path must be bit-identical to the
-// locked one.
+// parole — against a store over the lock-free index and against a
+// store over the same index behind lsh.Locked's RWMutex (the locked
+// read path, the correctness oracle), and requires element-identical
+// observable state at every step. The lock-free read path must be
+// bit-identical to the locked one.
 func TestLockFreeStoreDifferential(t *testing.T) {
 	const dim = 4
 	cfg := Config{
@@ -37,26 +37,21 @@ func TestLockFreeStoreDifferential(t *testing.T) {
 		TTL:                 90 * time.Second,
 		QuarantineThreshold: 2,
 	}
-	mkStore := func() *Store {
+	mkStore := func(wrap func(*lsh.HyperplaneIndex) lsh.Index) (*Store, *simclock.Virtual) {
 		idx, err := lsh.NewHyperplane(dim, 6, 3, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(cfg, idx, simclock.NewVirtual(time.Unix(0, 0)))
+		clk := simclock.NewVirtual(time.Unix(0, 0))
+		s, err := New(cfg, wrap(idx), clk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return s, clk
 	}
-	freeInner := mkStore()
-	free := Interface(freeInner)
-	oracle := Interface(NewSerialized(mkStore()))
-
-	// Both stores share one virtual clock by construction: the two
-	// inner stores were created at the same instant and we advance
-	// both in lockstep below.
-	freeClk := freeInner.clock.(*simclock.Virtual)
-	oracleClk := oracle.(*SerializedStore).inner.clock.(*simclock.Virtual)
+	freeStore, freeClk := mkStore(func(h *lsh.HyperplaneIndex) lsh.Index { return h })
+	oracleStore, oracleClk := mkStore(func(h *lsh.HyperplaneIndex) lsh.Index { return lsh.NewLocked(h) })
+	free, oracle := Interface(freeStore), Interface(oracleStore)
 
 	rng := rand.New(rand.NewSource(17))
 	ids := make([]lsh.ID, 0, 512)

@@ -310,10 +310,9 @@ type Deps struct {
 	Clock simclock.Clock
 	// Classifier is the fallback DNN. Required.
 	Classifier Classifier
-	// Store is the local cache store — any shape (single, sharded, or
-	// serialized). Required in ModeApprox. Beware assigning a typed
-	// nil pointer (e.g. a nil *cachestore.Store): it makes the
-	// interface non-nil but unusable.
+	// Store is the local cache store. Required in ModeApprox. Beware
+	// assigning a typed nil pointer (e.g. a nil *cachestore.Store): it
+	// makes the interface non-nil but unusable.
 	Store cachestore.Interface
 	// Peers queries nearby devices. Optional; nil disables the peer
 	// gate.
@@ -442,21 +441,10 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 			s.ObserveBrownoutTransition(to > from)
 		})
 	}
-	// Normalize typed-nil stores: a nil *Store in the interface would
+	// Normalize a typed-nil store: a nil *Store in the interface would
 	// dodge the nil check below and crash on first use instead.
-	switch st := deps.Store.(type) {
-	case *cachestore.Store:
-		if st == nil {
-			deps.Store = nil
-		}
-	case *cachestore.ShardedStore:
-		if st == nil {
-			deps.Store = nil
-		}
-	case *cachestore.SerializedStore:
-		if st == nil {
-			deps.Store = nil
-		}
+	if st, ok := deps.Store.(*cachestore.Store); ok && st == nil {
+		deps.Store = nil
 	}
 	e := &Engine{cfg: cfg, deps: deps, stats: stats, ctrl: ctrl, jitterSeed: jitterSeedFor(session), appliedScale: 1}
 	if wd == nil {

@@ -8,7 +8,7 @@ import "fmt"
 // quantized scoring. All three mechanisms are bit-deterministic — the
 // probe order is a fixed function of the query's hyperplane margins and
 // quantization rounding is fixed — so tuned indexes replay identically
-// across runs, shards, and snapshot round-trips.
+// across runs and snapshot round-trips.
 type Tuning struct {
 	// Probes is the number of buckets examined per table: the query's
 	// own bucket plus Probes−1 perturbed buckets, visited in increasing

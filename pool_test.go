@@ -1,7 +1,6 @@
 package approxcache_test
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"sync"
@@ -52,12 +51,11 @@ func TestNewPoolValidation(t *testing.T) {
 }
 
 // TestPoolConcurrentSessions drives the full serving-scale facade —
-// sharded store, micro-batcher, N concurrent streams — under -race.
+// one shared store, micro-batcher, N concurrent streams — under -race.
 func TestPoolConcurrentSessions(t *testing.T) {
 	const sessions = 4
 	w := testWorkload(t, 40)
 	p := newPool(t, sessions, w, approxcache.Options{
-		Shards:    4,
 		BatchSize: 4,
 		BatchWait: time.Millisecond,
 	})
@@ -88,16 +86,10 @@ func TestPoolConcurrentSessions(t *testing.T) {
 	if p.Len() == 0 {
 		t.Fatal("shared store is empty")
 	}
-	shards := p.ShardStats()
-	if len(shards) != 4 {
-		t.Fatalf("%d shard stats, want 4", len(shards))
-	}
-	var entries int
-	for _, sh := range shards {
-		entries += sh.Entries
-	}
-	if entries != p.Len() {
-		t.Fatalf("shard entries sum %d != store len %d", entries, p.Len())
+	for s := 0; s < sessions; s++ {
+		if got := p.Session(s).Len(); got != p.Len() {
+			t.Fatalf("session %d sees %d entries, pool %d", s, got, p.Len())
+		}
 	}
 	bs, ok := p.BatcherStats()
 	if !ok || bs.Frames == 0 {
@@ -112,14 +104,11 @@ func TestPoolConcurrentSessions(t *testing.T) {
 }
 
 // TestPoolUnshardedUnbatched: the zero-valued serving options still
-// yield a working pool (single-shard store, no batcher).
+// yield a working pool (one store, no batcher).
 func TestPoolUnshardedUnbatched(t *testing.T) {
 	w := testWorkload(t, 10)
 	p := newPool(t, 2, w, approxcache.Options{})
 	replay(t, p.Session(0), w)
-	if p.ShardStats() != nil {
-		t.Fatal("unsharded pool reported shard stats")
-	}
 	if _, ok := p.BatcherStats(); ok {
 		t.Fatal("unbatched pool reported batcher stats")
 	}
@@ -142,7 +131,6 @@ func TestPoolShutdownRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, err := approxcache.NewPool(sessions, clf, approxcache.Options{
-		Shards:    4,
 		BatchSize: 4,
 		BatchWait: time.Millisecond,
 		Clock:     approxcache.NewVirtualClock(),
@@ -186,30 +174,36 @@ func TestPoolShutdownRace(t *testing.T) {
 	checkLeak()
 }
 
-// TestShardedSnapshotFacade: a sharded cache's snapshot warm-starts an
-// unsharded one and vice versa — the wire format carries entries, not
-// topology.
-func TestShardedSnapshotFacade(t *testing.T) {
-	w := testWorkload(t, 60)
-	sharded := newCache(t, w, approxcache.Options{Shards: 4})
-	replay(t, sharded, w)
-	if sharded.Len() == 0 {
-		t.Fatal("sharded cache empty after replay")
-	}
-	var buf bytes.Buffer
-	if err := sharded.SaveSnapshot(&buf); err != nil {
+// TestPoolHoldsFullCapacity: sessions sharing one store fill all of
+// its capacity. Once DNN inserts outnumber the slots, the store must
+// sit exactly at Capacity and evict from there — a store split into
+// unevenly loaded parts would hold fewer entries than it was given.
+func TestPoolHoldsFullCapacity(t *testing.T) {
+	const sessions, capacity = 4, 64
+	// Many classes under the hard perturbation profile: most frames
+	// miss, so DNN results keep arriving after the store is full.
+	spec := approxcache.StationaryHeavyWorkload(200, 3)
+	spec.NumClasses = 32
+	spec.Hard = true
+	w, err := approxcache.GenerateWorkload(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	plain := newCache(t, w, approxcache.Options{})
-	if n, err := plain.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil || n != sharded.Len() {
-		t.Fatalf("plain load = %d, %v; want %d", n, err, sharded.Len())
+	p := newPool(t, sessions, w, approxcache.Options{
+		Capacity:         capacity,
+		DisableIMUGate:   true,
+		DisableVideoGate: true,
+	})
+	for s := 0; s < sessions; s++ {
+		replay(t, p.Session(s), w)
 	}
-	var back bytes.Buffer
-	if err := plain.SaveSnapshot(&back); err != nil {
-		t.Fatal(err)
+	if dnn := p.Stats().CountBySource()[approxcache.SourceDNN]; dnn <= capacity {
+		t.Fatalf("only %d DNN inserts for capacity %d; the test needs more", dnn, capacity)
 	}
-	sharded2 := newCache(t, w, approxcache.Options{Shards: 8})
-	if n, err := sharded2.LoadSnapshot(&back); err != nil || n != plain.Len() {
-		t.Fatalf("sharded reload = %d, %v; want %d", n, err, plain.Len())
+	if got := p.Len(); got != capacity {
+		t.Fatalf("Len = %d, want the full capacity %d", got, capacity)
+	}
+	if p.Session(0).Evictions() == 0 {
+		t.Fatal("no evictions after filling the store past capacity")
 	}
 }
