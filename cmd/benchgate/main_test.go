@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -215,90 +214,6 @@ func TestOverloadGateBadFile(t *testing.T) {
 		t.Fatal("empty points accepted")
 	}
 	if err := run([]string{"-overload-json", filepath.Join(t.TempDir(), "missing.json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("missing report accepted")
-	}
-}
-
-func readScaleSample(maxProcs int, speedup, allocs float64) string {
-	return fmt.Sprintf(`{
-  "entries": 4096,
-  "max_procs": %d,
-  "points": [
-    {"readers": 1, "lockfree_ops_per_sec": 90000, "locked_ops_per_sec": 88000, "speedup": 1.02},
-    {"readers": 16, "lockfree_ops_per_sec": 200000, "locked_ops_per_sec": 80000, "speedup": %g}
-  ],
-  "speedup_at_16": %g,
-  "allocs_per_op": %g
-}`, maxProcs, speedup, speedup, allocs)
-}
-
-func TestReadScaleGatePass(t *testing.T) {
-	var out strings.Builder
-	// Stdin carries no benchmarks: the readscale mode must not read it.
-	err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(16, 2.5, 0))},
-		strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"16 readers", "2.50x", "GOMAXPROCS=16"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("summary missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestReadScaleGateFail(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(16, 1.5, 0))},
-		strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "below required") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReadScaleGateAllocs(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(16, 2.5, 3))},
-		strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "budget is 0") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReadScaleGateParallelismAware(t *testing.T) {
-	var out strings.Builder
-	// 1.5x fails at 16 procs but passes the relaxed 2-7 proc floor, and
-	// 0.95x passes only the single-proc no-regression floor.
-	if err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(4, 1.5, 0))},
-		strings.NewReader(""), &out); err != nil {
-		t.Fatalf("1.5x at 4 procs rejected: %v", err)
-	}
-	if err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(4, 1.1, 0))},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("1.1x at 4 procs accepted")
-	}
-	if err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(1, 0.95, 0))},
-		strings.NewReader(""), &out); err != nil {
-		t.Fatalf("0.95x at 1 proc rejected: %v", err)
-	}
-	if err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(1, 0.8, 0))},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("0.8x regression at 1 proc accepted")
-	}
-}
-
-func TestReadScaleGateBadFile(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-readscale-json", writeThroughput(t, "not json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("corrupt report accepted")
-	}
-	if err := run([]string{"-readscale-json", writeThroughput(t, `{"speedup_at_16": 9, "max_procs": 8}`)},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("empty points accepted")
-	}
-	if err := run([]string{"-readscale-json", filepath.Join(t.TempDir(), "missing.json")},
 		strings.NewReader(""), &out); err == nil {
 		t.Fatal("missing report accepted")
 	}

@@ -9,8 +9,10 @@ import (
 )
 
 // Interface is the store contract the engine, the peer service, and
-// the facade program against. Store is its one implementation: one
-// index under one RWMutex. Lookups take no store lock.
+// the facade program against. Store is its one implementation: entry
+// bookkeeping under one RWMutex, and one index that guards itself with
+// its own RWMutex (see Store.mu for the lock order). Lookups take only
+// the index's read lock, never the store lock.
 // Insert-at-capacity, Touch and Remove cost O(log n) under the writer
 // lock: live entries sit in a min-heap keyed by the policy order, so
 // the victim is the heap root. TTL expiry pops a FIFO of insertion

@@ -124,6 +124,11 @@ type Store struct {
 	clock simclock.Clock
 	index lsh.Index
 
+	// mu guards the entry bookkeeping. Lock order: mu first, then the
+	// index's own lock. Every method that changes the index (insert,
+	// evict, expire, quarantine, parole, import) does so while holding
+	// mu; the index never calls back into the store, and lookups take
+	// the index lock without mu.
 	mu      sync.RWMutex
 	entries map[lsh.ID]*item
 	// victims orders every live entry (quarantined ones included) by
@@ -309,8 +314,9 @@ func (s *Store) Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error) {
 
 // NearestInto is Nearest writing into dst's backing array. With a
 // TTL-free store over an IntoIndex — the standard pipeline shape — a
-// lookup takes no store lock and performs no allocation, so read-mostly
-// lookups never contend with each other.
+// lookup takes no store lock and performs no allocation; it holds only
+// the index's read lock, so lookups run in parallel with each other and
+// wait only for an index write in progress.
 func (s *Store) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
 	s.purgeExpired(s.clock.Now())
 	if ii, ok := s.index.(lsh.IntoIndex); ok {
@@ -321,8 +327,9 @@ func (s *Store) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) ([]lsh.
 
 // purgeExpired removes expired entries. The fast path is one atomic
 // load: until the clock passes the tracked earliest expiry deadline,
-// nothing can be expired and no lock is taken at all, so TTL-enabled
-// stores keep a fully lock-free lookup path between expiry events.
+// nothing can be expired and the store lock is not taken, so between
+// expiry events a TTL-enabled store's lookups cost what a TTL-free
+// store's do.
 func (s *Store) purgeExpired(now time.Time) {
 	if s.cfg.TTL <= 0 {
 		return

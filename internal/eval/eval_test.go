@@ -68,8 +68,8 @@ func TestAllHaveUniqueIDs(t *testing.T) {
 			t.Fatalf("%s has no runner", e.ID)
 		}
 	}
-	if len(seen) != 25 {
-		t.Fatalf("suite has %d experiments, want 25", len(seen))
+	if len(seen) != 24 {
+		t.Fatalf("suite has %d experiments, want 24", len(seen))
 	}
 }
 

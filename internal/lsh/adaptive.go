@@ -84,17 +84,17 @@ func DefaultAdaptiveConfig(dim int) AdaptiveConfig {
 // is the FoggyCache-style adaptive LSH: the index tracks the data
 // distribution instead of assuming a centered one.
 //
-// The read path is lock-free end to end: readers load the current
-// inner index through an atomic pointer and run the inner index's own
-// lock-free lookup; a rebuild constructs the replacement off to the
-// side and publishes it with one pointer store. Only writers take the
-// mutex, and a rebuild completes entirely under it, so no insert can
-// slip between the item snapshot and the swap.
+// Readers load the current inner index through an atomic pointer and
+// run its lookup under the inner index's read lock; they never touch
+// the wrapper's mutex. A rebuild constructs the replacement off to the
+// side and publishes it with one pointer store. Writers take the
+// wrapper's mutex, and a rebuild completes entirely under it, so no
+// insert can slip between the item snapshot and the swap.
 type AdaptiveIndex struct {
 	cfg AdaptiveConfig
 
 	// mu serializes writers (Insert/Remove) and rebuilds. Readers
-	// never touch it.
+	// never touch it; it is always taken before the inner index's lock.
 	mu      sync.Mutex
 	inner   atomic.Pointer[HyperplaneIndex]
 	inserts int
@@ -118,19 +118,18 @@ func NewAdaptive(cfg AdaptiveConfig) (*AdaptiveIndex, error) {
 	return a, nil
 }
 
-// Rebuilds returns how many times the index has re-tuned itself.
-// Lock-free: stats polling can never stall a rebuild or a lookup.
+// Rebuilds returns how many times the index has re-tuned itself. It is
+// an atomic read, so stats polling never waits on a rebuild.
 func (a *AdaptiveIndex) Rebuilds() int {
 	return int(a.rebuilds.Load())
 }
 
-// Len returns the number of indexed vectors. Lock-free.
+// Len returns the number of indexed vectors.
 func (a *AdaptiveIndex) Len() int {
 	return a.inner.Load().Len()
 }
 
 // Stats returns the current underlying occupancy statistics.
-// Lock-free: it pins the inner index's published snapshot.
 func (a *AdaptiveIndex) Stats() Stats {
 	return a.inner.Load().Stats()
 }
@@ -159,23 +158,21 @@ func (a *AdaptiveIndex) Remove(id ID) {
 }
 
 // Nearest returns up to k approximate nearest neighbors of q.
-// Lock-free.
 func (a *AdaptiveIndex) Nearest(q feature.Vector, k int) ([]Neighbor, error) {
 	return a.inner.Load().Nearest(q, k)
 }
 
-// NearestInto is Nearest writing into dst's backing array. Lock-free.
+// NearestInto is Nearest writing into dst's backing array.
 func (a *AdaptiveIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Neighbor, error) {
 	return a.inner.Load().NearestInto(q, k, dst)
 }
 
-// Candidates returns q's LSH candidate set. Lock-free.
+// Candidates returns q's LSH candidate set.
 func (a *AdaptiveIndex) Candidates(q feature.Vector) ([]ID, error) {
 	return a.inner.Load().Candidates(q)
 }
 
 // CandidatesInto is Candidates appending into dst's backing array.
-// Lock-free.
 func (a *AdaptiveIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, error) {
 	return a.inner.Load().CandidatesInto(q, dst)
 }
@@ -183,6 +180,8 @@ func (a *AdaptiveIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, error)
 // maybeRebuildLocked checks occupancy skew and rebuilds if needed.
 // Caller holds mu; readers keep running against the old inner index
 // until the single pointer store below publishes the replacement.
+// Stats and Items each take and release the inner read lock, so
+// neither runs while the other holds it.
 func (a *AdaptiveIndex) maybeRebuildLocked() {
 	inner := a.inner.Load()
 	st := inner.Stats()
@@ -228,12 +227,10 @@ type Item struct {
 	Vec feature.Vector
 }
 
-// Items returns copies of all indexed vectors. It takes the writer
-// mutex: idSlot is writer-owned state, and Items is only called from
-// write-side paths (rebuild, snapshot export).
+// Items returns copies of all indexed vectors.
 func (x *HyperplaneIndex) Items() []Item {
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
+	x.mu.RLock()
+	defer x.mu.RUnlock()
 	out := make([]Item, 0, len(x.idSlot))
 	for id, slot := range x.idSlot {
 		out = append(out, Item{ID: id, Vec: x.slotVec(slot).Clone()})

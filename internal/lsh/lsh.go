@@ -12,11 +12,11 @@
 // epoch-stamped visited array drawn from a pool, and ranking is bounded
 // top-k selection instead of a full sort.
 //
-// Reads are also lock-free: writers publish immutable snapshots of the
-// bucket state through an atomic pointer and reclaim recycled arena
-// memory only after a grace period (see epoch.go), so a lookup never
-// takes a mutex and concurrent readers never serialize on a shared
-// lock word.
+// Each HyperplaneIndex guards itself with one sync.RWMutex: lookups,
+// Stats, Items and Len take the read lock, Insert and Remove the write
+// lock. No method calls another while holding it, so the index never
+// re-enters its own lock (a recursive RLock deadlocks once a writer is
+// waiting), and it never calls out of the package while locked.
 package lsh
 
 import (
@@ -25,7 +25,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"approxcache/internal/feature"
 )
@@ -94,26 +93,17 @@ type HyperplaneIndex struct {
 	sketchPlanes []float64
 	sketchWords  int
 
-	// wmu serializes writers (insert/remove/import). Readers never
-	// touch it: they pin the published view below.
-	wmu sync.Mutex
-	// sides are the TWO bucket instances of the left-right scheme.
-	// sides[i][t] maps a table-t signature to the arena slots holding
+	// mu guards every field below it except the pools: Insert and
+	// Remove hold it for writing, lookups and stats for reading.
+	mu sync.RWMutex
+	// buckets[t] maps a table-t signature to the arena slots holding
 	// colliding vectors. Buckets hold slots, not IDs, so the distance
-	// loop reads the arena directly. Exactly one side is referenced by
-	// the published view at any time; the other is writer-private and
-	// receives each mutation first. The two sides never share bucket
-	// backing arrays (each grows its slices independently), so
-	// in-place swap-deletes on the writer-private side cannot be
-	// observed through the published one.
-	sides [2][]map[uint64][]int32
-	// active is the side the current view publishes (writer-owned).
-	active int
+	// loop reads the arena directly.
+	buckets []map[uint64][]int32
 	// arena holds slot s's vector at arena[s*dim:(s+1)*dim]. Freed
-	// slots are recycled through free — but only after the grace
-	// period proves no reader still holds a view referencing them;
-	// slotID/slotSig are parallel per-slot metadata (slotSig[s*tables+t]
-	// is slot s's signature in table t).
+	// slots are recycled through free; slotID/slotSig are parallel
+	// per-slot metadata (slotSig[s*tables+t] is slot s's signature in
+	// table t).
 	arena   []float64
 	slotID  []ID
 	slotSig []uint64
@@ -125,19 +115,9 @@ type HyperplaneIndex struct {
 	sketch []uint64
 	codes  []int8
 	quant  []feature.Quant
-	// idSlot maps an ID to its slot. Only Insert/Remove touch it; the
+	// idSlot maps an ID to its slot; its length is the live count. The
 	// query path never chases it.
 	idSlot map[ID]int32
-
-	// view is the published snapshot every reader runs against; epoch
-	// counts publications (diagnostics and tests); arriveAt selects
-	// which read indicator new readers stamp (see epoch.go).
-	view     atomic.Pointer[indexView]
-	epoch    atomic.Uint64
-	arriveAt atomic.Uint32
-	readers  [2]readIndicator
-	// stripeSeq hands each new query scratch its indicator stripe.
-	stripeSeq atomic.Uint32
 
 	scratch sync.Pool // *queryScratch
 	idBuf   sync.Pool // *[]ID, gather buffer for Candidates
@@ -145,91 +125,12 @@ type HyperplaneIndex struct {
 
 var _ IntoIndex = (*HyperplaneIndex)(nil)
 
-// indexView is one published snapshot of the index: the active bucket
-// side plus the slice headers of every per-slot arena as of
-// publication. All fields are immutable for the lifetime of the view
-// from a reader's perspective — the buckets maps are only mutated
-// again after the grace period drains every reader pinned to this
-// view, arena slots referenced by these buckets are only overwritten
-// after the same grace period, and growth reallocations leave the
-// captured backing arrays untouched.
-type indexView struct {
-	buckets []map[uint64][]int32
-	arena   []float64
-	slotID  []ID
-	sketch  []uint64
-	codes   []int8
-	quant   []feature.Quant
-	live    int
-}
-
-// slotVec returns slot s's vector as a view into the snapshot arena.
-func (v *indexView) slotVec(dim int, s int32) feature.Vector {
-	off := int(s) * dim
-	return feature.Vector(v.arena[off : off+dim : off+dim])
-}
-
-// slotCodes returns slot s's int8 code vector within the snapshot.
-func (v *indexView) slotCodes(dim int, s int32) []int8 {
-	off := int(s) * dim
-	return v.codes[off : off+dim : off+dim]
-}
-
-// pin stamps the read indicator and loads the current snapshot. The
-// arrival MUST precede the view load (see epoch.go invariant 1);
-// callers pass the same stripe to unpin.
-func (x *HyperplaneIndex) pin(stripe uint32) (*indexView, uint32) {
-	vi := x.arriveAt.Load()
-	x.readers[vi&1].arrive(stripe)
-	return x.view.Load(), vi
-}
-
-// unpin departs the indicator pinned by pin.
-func (x *HyperplaneIndex) unpin(vi, stripe uint32) {
-	x.readers[vi&1].depart(stripe)
-}
-
-// publishLocked runs one write round: apply mutate to the inactive
-// side, publish it as the new snapshot, advance the epoch, wait the
-// grace period for every reader of the old snapshot to depart, then
-// apply the same mutation to the retired side so both instances
-// converge. On return no reader holds the previous snapshot, so the
-// caller may recycle any slots the mutation retired. Caller holds wmu.
-func (x *HyperplaneIndex) publishLocked(mutate func(side []map[uint64][]int32)) {
-	next := 1 - x.active
-	mutate(x.sides[next])
-	x.view.Store(&indexView{
-		buckets: x.sides[next],
-		arena:   x.arena,
-		slotID:  x.slotID,
-		sketch:  x.sketch,
-		codes:   x.codes,
-		quant:   x.quant,
-		live:    len(x.idSlot),
-	})
-	x.epoch.Add(1)
-	x.active = next
-	// Grace period: drain the indicator new readers are no longer
-	// arriving at, flip arrivals, then drain the other. Every reader
-	// that could have loaded the previous snapshot arrived before the
-	// publish above and is therefore covered by one of the two waits.
-	vi := x.arriveAt.Load()
-	x.readers[1-vi&1].wait()
-	x.arriveAt.Store(1 - vi&1)
-	x.readers[vi&1].wait()
-	mutate(x.sides[1-next])
-}
-
 // queryScratch is the reusable per-query state: an epoch-stamped
 // visited array replacing the old per-query map[ID]struct{} dedup.
 // Each concurrent query checks out its own scratch from the pool.
 type queryScratch struct {
 	visited []uint32
 	epoch   uint32
-	// stripe is this scratch's read-indicator stripe (epoch.go).
-	// sync.Pool is per-P, so concurrent readers hold distinct
-	// scratches and therefore stamp distinct stripes.
-	stripe uint32
 
 	// Tuned-pipeline scratch, sized lazily on first tuned lookup:
 	// margins holds per-bit |projection| for the probed table, sorted
@@ -315,17 +216,14 @@ func NewHyperplaneTuned(dim, bits, tables int, seed int64, tun Tuning) (*Hyperpl
 		bits:        bits,
 		tables:      tables,
 		planes:      make([]float64, tables*bits*dim),
+		buckets:     make([]map[uint64][]int32, tables),
 		idSlot:      make(map[ID]int32),
 		tun:         tun,
 		sketchWords: tun.SketchBits / 64,
 	}
-	for side := range x.sides {
-		x.sides[side] = make([]map[uint64][]int32, tables)
-		for t := 0; t < tables; t++ {
-			x.sides[side][t] = make(map[uint64][]int32)
-		}
+	for t := range x.buckets {
+		x.buckets[t] = make(map[uint64][]int32)
 	}
-	x.view.Store(&indexView{buckets: x.sides[0]})
 	// Draw order (table, bit, dim) is part of the index's identity:
 	// the same seed must yield the same hyperplanes across versions.
 	for t := 0; t < tables; t++ {
@@ -384,15 +282,12 @@ func (x *HyperplaneIndex) Bits() int { return x.bits }
 // Tables returns the hash-table count.
 func (x *HyperplaneIndex) Tables() int { return x.tables }
 
-// Len returns the number of indexed vectors. Lock-free: the count is
-// an immutable field of the published snapshot.
+// Len returns the number of indexed vectors.
 func (x *HyperplaneIndex) Len() int {
-	return x.view.Load().live
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return len(x.idSlot)
 }
-
-// Epoch returns the number of snapshots published so far (one per
-// completed write round). Diagnostics and tests only.
-func (x *HyperplaneIndex) Epoch() uint64 { return x.epoch.Load() }
 
 // signature hashes v in table t. Caller must have validated dimensions.
 //
@@ -577,16 +472,12 @@ func (x *HyperplaneIndex) Insert(id ID, v feature.Vector) error {
 		return fmt.Errorf("lsh: insert dim %d, index dim %d: %w",
 			len(v), x.dim, feature.ErrDimensionMismatch)
 	}
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	if slot, exists := x.idSlot[id]; exists {
 		x.removeLocked(id, slot)
 	}
 	slot := x.allocSlotLocked()
-	// The slot is either brand-new (no published bucket can reference
-	// it yet) or recycled after a grace period (every reader that could
-	// have seen it has departed), so these writes race with nothing;
-	// the publish below is the release that makes them visible.
 	copy(x.arena[int(slot)*x.dim:], v)
 	x.slotID[slot] = id
 	vc := x.slotVec(slot)
@@ -603,19 +494,17 @@ func (x *HyperplaneIndex) Insert(id ID, v feature.Vector) error {
 		x.quant[slot] = feature.QuantizeInto(vc, x.slotCodes(slot))
 	}
 	x.idSlot[id] = slot
-	x.publishLocked(func(side []map[uint64][]int32) {
-		for t := 0; t < x.tables; t++ {
-			sig := x.slotSig[int(slot)*x.tables+t]
-			side[t][sig] = append(side[t][sig], slot)
-		}
-	})
+	for t := 0; t < x.tables; t++ {
+		sig := x.slotSig[int(slot)*x.tables+t]
+		x.buckets[t][sig] = append(x.buckets[t][sig], slot)
+	}
 	return nil
 }
 
 // Remove deletes id from all tables.
 func (x *HyperplaneIndex) Remove(id ID) {
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	if slot, ok := x.idSlot[id]; ok {
 		x.removeLocked(id, slot)
 	}
@@ -625,54 +514,44 @@ func (x *HyperplaneIndex) Remove(id ID) {
 // bothers reallocating; below it the retained memory is trivial.
 const bucketShrinkMin = 16
 
-// removeLocked unlinks slot from both bucket sides (via one publish
-// round) and recycles it. The slot joins the free list only AFTER the
-// grace period inside publishLocked, so no reader can still hold a
-// view whose buckets reference it by the time a later insert
-// overwrites its arena memory. Caller holds wmu.
+// removeLocked unlinks slot from every table's bucket, then pushes it
+// onto the free list. Caller holds mu for writing.
 func (x *HyperplaneIndex) removeLocked(id ID, slot int32) {
 	delete(x.idSlot, id)
-	x.publishLocked(func(side []map[uint64][]int32) {
-		for t := 0; t < x.tables; t++ {
-			sig := x.slotSig[int(slot)*x.tables+t]
-			bucket := side[t][sig]
-			for i, s := range bucket {
-				if s == slot {
-					last := len(bucket) - 1
-					bucket[i] = bucket[last]
-					bucket[last] = 0 // clear the swapped-from tail slot
-					bucket = bucket[:last]
-					break
-				}
-			}
-			switch {
-			case len(bucket) == 0:
-				delete(side[t], sig)
-			case cap(bucket) >= bucketShrinkMin && cap(bucket) >= 4*len(bucket):
-				// Long churny runs otherwise retain grossly over-capacity
-				// backing arrays for hot signatures.
-				shrunk := make([]int32, len(bucket))
-				copy(shrunk, bucket)
-				side[t][sig] = shrunk
-			default:
-				side[t][sig] = bucket
+	for t := 0; t < x.tables; t++ {
+		sig := x.slotSig[int(slot)*x.tables+t]
+		bucket := x.buckets[t][sig]
+		for i, s := range bucket {
+			if s == slot {
+				last := len(bucket) - 1
+				bucket[i] = bucket[last]
+				bucket[last] = 0 // clear the swapped-from tail slot
+				bucket = bucket[:last]
+				break
 			}
 		}
-	})
-	if poisonRetired.Load() {
-		x.poisonSlot(slot)
+		switch {
+		case len(bucket) == 0:
+			delete(x.buckets[t], sig)
+		case cap(bucket) >= bucketShrinkMin && cap(bucket) >= 4*len(bucket):
+			// Long churny runs otherwise retain grossly over-capacity
+			// backing arrays for hot signatures.
+			shrunk := make([]int32, len(bucket))
+			copy(shrunk, bucket)
+			x.buckets[t][sig] = shrunk
+		default:
+			x.buckets[t][sig] = bucket
+		}
 	}
 	x.free = append(x.free, slot)
 }
 
-// getScratch checks out per-query scratch state. A fresh scratch is
-// assigned the next read-indicator stripe round-robin; the pool is
-// per-P, so concurrent readers end up stamping distinct stripes.
+// getScratch checks out per-query scratch state.
 func (x *HyperplaneIndex) getScratch() *queryScratch {
 	if sc, ok := x.scratch.Get().(*queryScratch); ok {
 		return sc
 	}
-	return &queryScratch{stripe: x.stripeSeq.Add(1)}
+	return &queryScratch{}
 }
 
 // Candidates returns the deduplicated union of bucket contents that q
@@ -711,19 +590,19 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 	}
 	sc := x.getScratch()
 	defer x.scratch.Put(sc)
-	v, vi := x.pin(sc.stripe)
-	defer x.unpin(vi, sc.stripe)
-	sc.begin(len(v.slotID))
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	sc.begin(len(x.slotID))
 	out := dst[:0]
 	if !x.tun.enabled() {
 		for t := 0; t < x.tables; t++ {
 			sig := x.signature(t, q)
-			for _, slot := range v.buckets[t][sig] {
+			for _, slot := range x.buckets[t][sig] {
 				if sc.visited[slot] == sc.epoch {
 					continue
 				}
 				sc.visited[slot] = sc.epoch
-				out = append(out, v.slotID[slot])
+				out = append(out, x.slotID[slot])
 			}
 		}
 		return out, nil
@@ -744,7 +623,7 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 			if !ok {
 				break
 			}
-			for _, slot := range v.buckets[t][psig] {
+			for _, slot := range x.buckets[t][psig] {
 				if sc.visited[slot] == sc.epoch {
 					continue
 				}
@@ -752,15 +631,15 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 				if words > 0 {
 					// Inlined popcount Hamming; words is 1 or 2.
 					off := int(slot) * words
-					d := bits.OnesCount64(qsk[0] ^ v.sketch[off])
+					d := bits.OnesCount64(qsk[0] ^ x.sketch[off])
 					if words == 2 {
-						d += bits.OnesCount64(qsk[1] ^ v.sketch[off+1])
+						d += bits.OnesCount64(qsk[1] ^ x.sketch[off+1])
 					}
 					if d > maxHam {
 						continue
 					}
 				}
-				out = append(out, v.slotID[slot])
+				out = append(out, x.slotID[slot])
 			}
 		}
 		sc.heap = pg.heap[:0] // retain heap growth across tables/queries
@@ -800,19 +679,19 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 	// bucket costs a fraction of a full distance.
 	var sel kSelector
 	sel.reset(k, dst[:0])
-	v, vi := x.pin(sc.stripe)
-	sc.begin(len(v.slotID))
+	x.mu.RLock()
+	sc.begin(len(x.slotID))
 	for t := 0; t < x.tables; t++ {
 		sig := x.signature(t, q)
-		for _, slot := range v.buckets[t][sig] {
+		for _, slot := range x.buckets[t][sig] {
 			if sc.visited[slot] == sc.epoch {
 				continue
 			}
 			sc.visited[slot] = sc.epoch
-			sel.addScored(q, v.slotVec(x.dim, slot), v.slotID[slot])
+			sel.addScored(q, x.slotVec(slot), x.slotID[slot])
 		}
 	}
-	x.unpin(vi, sc.stripe)
+	x.mu.RUnlock()
 	out := sel.finish()
 	for i := range out {
 		out[i].Distance = math.Sqrt(out[i].Distance)
@@ -833,8 +712,8 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 // nothing.
 func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, sc *queryScratch) ([]Neighbor, error) {
 	sc.ensureTuned(x.bits, x.dim)
-	v, vi := x.pin(sc.stripe)
-	sc.begin(len(v.slotID))
+	x.mu.RLock()
+	sc.begin(len(x.slotID))
 	var qsk [2]uint64
 	words := x.sketchWords
 	if words > 0 {
@@ -851,16 +730,16 @@ func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, 
 			if !ok {
 				break
 			}
-			for _, slot := range v.buckets[t][psig] {
+			for _, slot := range x.buckets[t][psig] {
 				// The sketch test comes before the dedup stamp: a slot
 				// it rejects is rejected on every visit, so most of the
 				// crowd never touches the visited array.
 				if words > 0 {
 					// Inlined popcount Hamming; words is 1 or 2.
 					off := int(slot) * words
-					d := bits.OnesCount64(qsk[0] ^ v.sketch[off])
+					d := bits.OnesCount64(qsk[0] ^ x.sketch[off])
 					if words == 2 {
-						d += bits.OnesCount64(qsk[1] ^ v.sketch[off+1])
+						d += bits.OnesCount64(qsk[1] ^ x.sketch[off+1])
 					}
 					if d > maxHam {
 						continue
@@ -883,10 +762,10 @@ func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, 
 		var rsel kSelector
 		rsel.reset(x.tun.RerankK*k, sc.approx[:0])
 		for _, slot := range surv {
-			dot := feature.DotInt8(sc.qcodes, v.slotCodes(x.dim, slot))
+			dot := feature.DotInt8(sc.qcodes, x.slotCodes(slot))
 			rsel.add(Neighbor{
 				ID:       ID(slot),
-				Distance: feature.ApproxSqDistance(x.dim, qq, v.quant[slot], dot),
+				Distance: feature.ApproxSqDistance(x.dim, qq, x.quant[slot], dot),
 			})
 		}
 		kept := rsel.finish()
@@ -898,8 +777,8 @@ func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, 
 	}
 	var sel kSelector
 	sel.reset(k, dst[:0])
-	sel.scoreSlots(q, v, x.dim, surv)
-	x.unpin(vi, sc.stripe)
+	sel.scoreSlots(q, x, surv)
+	x.mu.RUnlock()
 	sc.surv = surv[:0] // retain survivor growth for the next query
 	out := sel.finish()
 	for i := range out {
@@ -919,17 +798,14 @@ type Stats struct {
 	MeanCandidateSet float64 // expected candidate-set size for an indexed item
 }
 
-// Stats returns occupancy statistics. Lock-free: it walks the
-// published snapshot under a pin, so stats polling never stalls
-// writers or other readers.
+// Stats returns occupancy statistics.
 func (x *HyperplaneIndex) Stats() Stats {
-	stripe := x.stripeSeq.Add(1)
-	v, vi := x.pin(stripe)
-	defer x.unpin(vi, stripe)
-	s := Stats{Items: v.live, Tables: x.tables, Bits: x.bits}
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	s := Stats{Items: len(x.idSlot), Tables: x.tables, Bits: x.bits}
 	var total int
 	for t := 0; t < x.tables; t++ {
-		for _, b := range v.buckets[t] {
+		for _, b := range x.buckets[t] {
 			s.Buckets++
 			total += len(b)
 			if len(b) > s.MaxBucket {
@@ -940,7 +816,7 @@ func (x *HyperplaneIndex) Stats() Stats {
 	if s.Buckets > 0 {
 		s.MeanBucket = float64(total) / float64(s.Buckets)
 	}
-	if v.live > 0 {
+	if s.Items > 0 {
 		// For each item, its candidate set is at least the sizes of
 		// its own buckets; use the mean bucket size per table as an
 		// estimate of per-query work.

@@ -137,20 +137,16 @@ func TestBucketShrinkAfterChurn(t *testing.T) {
 		idx.Remove(ID(i))
 	}
 	arenaLen := func() int {
-		idx.wmu.Lock()
-		defer idx.wmu.Unlock()
-		// The shrink invariant must hold on BOTH left-right sides: the
-		// retired side receives every mutation after the grace period.
-		for si := range idx.sides {
-			for t0, table := range idx.sides[si] {
-				for sig, bucket := range table {
-					if len(bucket) == 0 {
-						t.Errorf("side %d table %d sig %x: empty bucket retained", si, t0, sig)
-					}
-					if cap(bucket) >= bucketShrinkMin && cap(bucket) >= 4*len(bucket) {
-						t.Errorf("side %d table %d sig %x: bucket len %d cap %d not shrunk",
-							si, t0, sig, len(bucket), cap(bucket))
-					}
+		idx.mu.RLock()
+		defer idx.mu.RUnlock()
+		for t0, table := range idx.buckets {
+			for sig, bucket := range table {
+				if len(bucket) == 0 {
+					t.Errorf("table %d sig %x: empty bucket retained", t0, sig)
+				}
+				if cap(bucket) >= bucketShrinkMin && cap(bucket) >= 4*len(bucket) {
+					t.Errorf("table %d sig %x: bucket len %d cap %d not shrunk",
+						t0, sig, len(bucket), cap(bucket))
 				}
 			}
 		}
@@ -163,8 +159,8 @@ func TestBucketShrinkAfterChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx.wmu.Lock()
-	defer idx.wmu.Unlock()
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
 	if len(idx.arena) > arenaLen {
 		t.Errorf("arena grew past high-water mark: %d floats, was %d", len(idx.arena), arenaLen)
 	}

@@ -107,35 +107,36 @@ func (s *kSelector) addScored(q, vec feature.Vector, id ID) {
 	s.add(Neighbor{ID: id, Distance: d})
 }
 
-// scoreSlots offers every listed slot of view v, scored against q.
+// scoreSlots offers every listed slot of index x, scored against q.
+// Caller holds x.mu for reading.
 // Slots are scored four at a time with the four-lane kernel, bounded
 // by the k-th best at the start of each group; a group abandoned there
 // holds no neighbor that could enter. A completed lane carries exactly
 // MustSqEuclidean's value, so the selection is the one add would make
 // with full distances. The tail goes through addScored.
-func (s *kSelector) scoreSlots(q feature.Vector, v *indexView, dim int, slots []int32) {
+func (s *kSelector) scoreSlots(q feature.Vector, x *HyperplaneIndex, slots []int32) {
 	i := 0
 	for ; i+4 <= len(slots); i += 4 {
 		g := slots[i : i+4 : i+4]
 		b := s.bound()
 		d0, d1, d2, d3 := feature.SqEuclideanBounded4(q,
-			v.slotVec(dim, g[0]), v.slotVec(dim, g[1]),
-			v.slotVec(dim, g[2]), v.slotVec(dim, g[3]), b)
+			x.slotVec(g[0]), x.slotVec(g[1]),
+			x.slotVec(g[2]), x.slotVec(g[3]), b)
 		if d0 <= b {
-			s.add(Neighbor{ID: v.slotID[g[0]], Distance: d0})
+			s.add(Neighbor{ID: x.slotID[g[0]], Distance: d0})
 		}
 		if d1 <= b {
-			s.add(Neighbor{ID: v.slotID[g[1]], Distance: d1})
+			s.add(Neighbor{ID: x.slotID[g[1]], Distance: d1})
 		}
 		if d2 <= b {
-			s.add(Neighbor{ID: v.slotID[g[2]], Distance: d2})
+			s.add(Neighbor{ID: x.slotID[g[2]], Distance: d2})
 		}
 		if d3 <= b {
-			s.add(Neighbor{ID: v.slotID[g[3]], Distance: d3})
+			s.add(Neighbor{ID: x.slotID[g[3]], Distance: d3})
 		}
 	}
 	for _, slot := range slots[i:] {
-		s.addScored(q, v.slotVec(dim, slot), v.slotID[slot])
+		s.addScored(q, x.slotVec(slot), x.slotID[slot])
 	}
 }
 
